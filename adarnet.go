@@ -12,15 +12,15 @@
 // The façade re-exports the user-facing pieces of the internal packages:
 //
 //   - model construction, training, inference: Model, New, Trainer
-//   - batched serving: Predictor, Engine, NewEngine, Cluster, NewCluster,
-//     and one shared functional-options vocabulary for both
-//   - the physics substrate: Case constructors, Solve
+//   - batched serving: Predictor, Engine, NewEngine, and its functional
+//     options
+//   - the physics substrate: Case constructors, SolveContext
 //   - the baselines: AMRRun (feature-based AMR), SURFNet (uniform SR)
 //   - the evaluation harness: experiment runners for every paper figure/table
 //
 // API conventions (DESIGN.md §8): context-aware entry points take ctx as the
-// first argument (RunE2EContext, SolveContext, RunAMRContext, Trainer.Fit);
-// the ctx-less originals remain as thin deprecated wrappers. Failure modes
+// first argument (RunE2EContext, SolveContext, RunAMRContext,
+// GenerateDatasetContext, Trainer.Fit). Failure modes
 // callers branch on are typed sentinels — ErrDiverged, ErrQueueFull,
 // ErrEngineClosed, ErrUntrained, ErrInternal, ErrCheckpointCorrupt —
 // wrapped with %w, matched via errors.Is.
@@ -38,17 +38,9 @@
 // occupancy; EngineStats reports means and p50/p95/p99 tails derived from
 // those histograms. WithMetrics attaches the serving instruments to a
 // MetricsRegistry — DefaultMetrics is the process-wide registry exposed by
-// the cmd binaries on /metrics in Prometheus text format; a Cluster labels
-// each replica's series replica="i" — and WithLogger routes contained-panic
-// reports and ejection events to a structured *slog.Logger with the request
-// IDs of the affected calls.
-//
-// Scale-out (DESIGN.md §13): NewCluster runs WithReplicas(n) engine replicas
-// behind a shard-aware router — consistent-hash routing on the request's
-// content key keeps repeats on the replica whose cache is warm, unhealthy
-// replicas are ejected and replaced from the same frozen model, and
-// WithHedge races a second attempt against the tail. Cluster satisfies the
-// same Predictor contract as Engine.
+// the cmd binaries on /metrics in Prometheus text format — and WithLogger
+// routes contained-panic reports to a structured *slog.Logger with the
+// request IDs of the affected calls.
 //
 // Caching (DESIGN.md §12): WithCache layers a content-addressed prediction
 // cache over the engine — a sharded, byte-budgeted LRU keyed by the exact
@@ -122,40 +114,12 @@ type SURFNet = surfnet.Model
 // results to each caller.
 type Engine = serve.Engine
 
-// Cluster fans requests across N in-process engine replicas behind the same
-// Predictor contract as Engine: consistent-hash routing on the request's
-// content key (cache-affine), load-aware fallback, router-level single-flight
-// coalescing, health-based ejection and replacement, optional hedged retries,
-// and graceful drain on Close (DESIGN.md §13).
-type Cluster = serve.Cluster
-
-// ClusterStats is the fleet view: the exact cross-replica aggregate, each
-// replica's own counters, and the router's counters.
-type ClusterStats = serve.ClusterStats
-
-// ReplicaStats is one replica slot's snapshot inside ClusterStats.
-type ReplicaStats = serve.ReplicaStats
-
-// Health is a point-in-time per-replica readiness report (the /healthz JSON
-// body); Ready is false only when zero replicas are routable.
+// Health is a point-in-time engine readiness report (the /healthz JSON
+// body); Ready is false once the engine is closed.
 type Health = serve.Health
 
-// ReplicaHealth describes one replica slot's routability and health signals.
-type ReplicaHealth = serve.ReplicaHealth
-
-// Option configures an Engine or a Cluster at construction. Engine and
-// Cluster share one functional-options vocabulary: per-replica options
-// (WithMaxBatch, WithWorkers, WithCache, ...) apply to each engine a Cluster
-// builds, while cluster-level options (WithReplicas, WithHedge,
-// WithHealthInterval, WithEjectPanics, WithEjectP99) are read by NewCluster
-// and ignored by NewEngine.
+// Option configures an Engine at construction.
 type Option = serve.Option
-
-// EngineOption configures an Engine at construction.
-//
-// Deprecated: use Option, the shared Engine/Cluster options vocabulary.
-// EngineOption is an alias of it.
-type EngineOption = serve.Option
 
 // EngineStats is a point-in-time snapshot of an engine's counters and
 // latency distributions.
@@ -190,14 +154,14 @@ func NewModel32(m *Model) (*Model32, error) { return core.NewModel32(m) }
 type MetricsRegistry = obs.Registry
 
 // DefaultMetrics is the process-wide metrics registry; the cmd binaries
-// serve it on /metrics, and WithEngineMetrics(DefaultMetrics) adds an
+// serve it on /metrics, and WithMetrics(DefaultMetrics) adds an
 // engine's counters and stage histograms to it.
 var DefaultMetrics = obs.Default
 
 // Tracer assembles per-request span timelines with tail-based retention:
 // every error and slow trace is kept, plus a deterministic sample of the
-// rest (internal/obs, DESIGN.md §15). The serve engine, cluster router,
-// prediction cache, and async job service all emit spans into whatever
+// rest (internal/obs, DESIGN.md §15). The serve engine, prediction cache,
+// and async job service all emit spans into whatever
 // trace rides the request context, so a retained timeline names every
 // stage a request crossed — including a job's resumed runs in a later
 // process.
@@ -228,12 +192,10 @@ type Predictor interface {
 	PredictFlow(ctx context.Context, lr *Flow) (*Inference, error)
 }
 
-// All implementations are checked at compile time; Engine and Cluster are
-// interchangeable behind the serving contract.
+// Both implementations are checked at compile time.
 var (
 	_ Predictor = (*Model)(nil)
 	_ Predictor = (*Engine)(nil)
-	_ Predictor = (*Cluster)(nil)
 )
 
 // Typed sentinel errors; matched with errors.Is against wrapped returns.
@@ -264,15 +226,7 @@ func NewEngine(m *Model, opts ...Option) (*Engine, error) {
 	return serve.New(m, opts...)
 }
 
-// NewCluster starts WithReplicas(n) engine replicas for a trained model
-// behind a shard-aware router. Per-replica options apply to every replica;
-// with WithPrecision(Float32) the model is frozen once and shared.
-func NewCluster(m *Model, opts ...Option) (*Cluster, error) {
-	return serve.NewCluster(m, opts...)
-}
-
-// Engine and Cluster construction options (one shared vocabulary; see
-// Option for which apply per replica and which are cluster-level).
+// Engine construction options.
 var (
 	// WithMaxBatch sets the batch flush size (default 8).
 	WithMaxBatch = serve.WithMaxBatch
@@ -298,40 +252,10 @@ var (
 	// this long instead of re-solving (default 10s; 0 disables).
 	WithNegativeTTL = serve.WithNegativeTTL
 	// WithMetrics attaches the serving counters and stage histograms to a
-	// metrics registry (adarnet_serve_* on /metrics; a Cluster labels each
-	// replica's series replica="i" and adds the adarnet_cluster_* router
-	// counters).
+	// metrics registry (adarnet_serve_* on /metrics).
 	WithMetrics = serve.WithMetrics
-	// WithLogger routes contained-panic reports and cluster ejection events
-	// to a structured logger.
+	// WithLogger routes contained-panic reports to a structured logger.
 	WithLogger = serve.WithLogger
-
-	// Cluster-level options, read by NewCluster and ignored by NewEngine.
-
-	// WithReplicas sets the replica count (default 1).
-	WithReplicas = serve.WithReplicas
-	// WithHedge enables hedged retries: a second attempt on another replica
-	// after the larger of this floor and the observed p99 latency; the first
-	// response wins and the loser is cancelled (default disabled).
-	WithHedge = serve.WithHedge
-	// WithHealthInterval sets the health-monitor cadence (default 250ms).
-	WithHealthInterval = serve.WithHealthInterval
-	// WithEjectPanics sets the contained-panic budget per health window
-	// before a replica is ejected and replaced (default 3; 0 disables).
-	WithEjectPanics = serve.WithEjectPanics
-	// WithEjectP99 bounds a replica's windowed p99 end-to-end latency before
-	// ejection (default 0 = disabled).
-	WithEjectP99 = serve.WithEjectP99
-
-	// WithEngineMetrics attaches the engine's counters and stage histograms
-	// to a metrics registry.
-	//
-	// Deprecated: use WithMetrics, which covers Engine and Cluster alike.
-	WithEngineMetrics = serve.WithMetrics
-	// WithEngineLogger routes contained-panic reports to a structured logger.
-	//
-	// Deprecated: use WithLogger, which covers Engine and Cluster alike.
-	WithEngineLogger = serve.WithLogger
 )
 
 // DefaultConfig returns the paper's model configuration for a patch size.
@@ -349,26 +273,10 @@ func RunE2EContext(ctx context.Context, m *Model, c *Case, opt SolverOptions) (*
 	return core.RunE2E(ctx, m, c, opt)
 }
 
-// RunE2E executes LR solve → one-shot inference → physics-solver correction.
-//
-// Deprecated: use RunE2EContext, which supports cancellation. RunE2E is
-// RunE2EContext with context.Background().
-func RunE2E(m *Model, c *Case, opt SolverOptions) (*E2EResult, error) {
-	return core.RunE2E(context.Background(), m, c, opt)
-}
-
 // SolveContext drives a flow to steady state with the RANS-SA solver,
 // polling ctx between pseudo-time steps.
 func SolveContext(ctx context.Context, f *Flow, opt SolverOptions) (SolverResult, error) {
 	return solver.Solve(ctx, f, opt)
-}
-
-// Solve drives a flow to steady state with the RANS-SA solver.
-//
-// Deprecated: use SolveContext, which supports cancellation. Solve is
-// SolveContext with context.Background().
-func Solve(f *Flow, opt SolverOptions) (SolverResult, error) {
-	return solver.Solve(context.Background(), f, opt)
 }
 
 // DefaultSolverOptions returns robust solver settings.
@@ -378,14 +286,6 @@ func DefaultSolverOptions() SolverOptions { return solver.DefaultOptions() }
 // case, canceling between cycles and inside each solve via ctx.
 func RunAMRContext(ctx context.Context, c *Case, cfg AMRConfig) (*AMRResult, error) {
 	return amr.Run(ctx, c, cfg)
-}
-
-// RunAMR executes the iterative feature-based AMR baseline for a case.
-//
-// Deprecated: use RunAMRContext, which supports cancellation. RunAMR is
-// RunAMRContext with context.Background().
-func RunAMR(c *Case, cfg AMRConfig) (*AMRResult, error) {
-	return amr.Run(context.Background(), c, cfg)
 }
 
 // DefaultAMRConfig mirrors the paper's AMR baseline setup.
@@ -408,13 +308,6 @@ var (
 // aborting the sweep when ctx is canceled.
 func GenerateDatasetContext(ctx context.Context, perFamily, h, w int) ([]Sample, error) {
 	return dataset.Generate(ctx, dataset.DefaultOptions(perFamily, h, w))
-}
-
-// GenerateDataset runs the solver over the paper's training sweeps.
-//
-// Deprecated: use GenerateDatasetContext, which supports cancellation.
-func GenerateDataset(perFamily, h, w int) ([]Sample, error) {
-	return dataset.Generate(context.Background(), dataset.DefaultOptions(perFamily, h, w))
 }
 
 // SplitDataset partitions samples into train/validation sets.

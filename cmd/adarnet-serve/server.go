@@ -19,18 +19,15 @@ import (
 	"adarnet/internal/serve"
 )
 
-// predictor is the slice of serve.Predictor the HTTP layer uses — Engine and
-// Cluster both satisfy it; tests stub it to exercise request validation and
-// error mapping without a trained model.
+// predictor is the slice of *serve.Engine the HTTP layer uses; tests stub it
+// to exercise request validation and error mapping without a trained model.
 type predictor interface {
 	Predict(ctx context.Context, c *geometry.Case) (*core.Inference, error)
 	Stats() serve.EngineStats
 	Health() serve.Health
 }
 
-// The HTTP layer's contract is a subset of serve.Predictor, so any serving
-// shape plugs in unchanged.
-var _ predictor = (serve.Predictor)(nil)
+var _ predictor = (*serve.Engine)(nil)
 
 // HTTP-boundary metrics, registered once on the process registry: every
 // request through the middleware lands in the latency histogram, and 5xx
@@ -253,7 +250,7 @@ func withObs(next http.Handler, cfg serverConfig) http.Handler {
 			cfg.ring.Add(obs.TraceEntry{
 				ID: id, TraceID: span.Trace().String(), Route: r.URL.Path, Status: sw.status,
 				Start: start, Elapsed: elapsed,
-				Replica: note.Replica(), CacheHit: note.CacheHit(),
+				CacheHit: note.CacheHit(),
 			})
 		}()
 		next.ServeHTTP(sw, r)
@@ -283,8 +280,8 @@ func newMux(p predictor, cfg serverConfig) http.Handler {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		// Readiness, not just liveness: per-replica detail in the body, 503
-		// when zero replicas are routable so load balancers stop sending.
+		// Readiness, not just liveness: 503 once the engine is closed so
+		// load balancers stop sending.
 		h := p.Health()
 		w.Header().Set("Content-Type", "application/json")
 		if !h.Ready {
@@ -300,13 +297,7 @@ func newMux(p predictor, cfg serverConfig) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		// A cluster reports the full fleet view — aggregate, per-replica
-		// snapshots, router counters; an engine reports its EngineStats.
-		var body any = p.Stats()
-		if cs, ok := p.(interface{ ClusterStats() serve.ClusterStats }); ok {
-			body = cs.ClusterStats()
-		}
-		if err := json.NewEncoder(w).Encode(body); err != nil {
+		if err := json.NewEncoder(w).Encode(p.Stats()); err != nil {
 			logger.Warn("stats encode failed", "request_id", obs.RequestIDFrom(r.Context()), "err", err.Error())
 		}
 	})

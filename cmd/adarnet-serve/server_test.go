@@ -24,7 +24,7 @@ type stubPredictor struct {
 	inf     *core.Inference
 	err     error
 	block   bool // wait for ctx cancellation instead of answering
-	unready bool // report zero routable replicas from Health
+	unready bool // report a closed engine from Health
 	gotCase *geometry.Case
 }
 
@@ -43,10 +43,7 @@ func (s *stubPredictor) Predict(ctx context.Context, c *geometry.Case) (*core.In
 func (s *stubPredictor) Stats() serve.EngineStats { return serve.EngineStats{Panics: 2} }
 
 func (s *stubPredictor) Health() serve.Health {
-	if s.unready {
-		return serve.Health{Replicas: []serve.ReplicaHealth{{State: serve.StateClosed}}}
-	}
-	return serve.Health{Ready: true, Replicas: []serve.ReplicaHealth{{State: serve.StateReady}}}
+	return serve.Health{Ready: !s.unready, QueueLen: 3}
 }
 
 func stubInference() *core.Inference {
@@ -213,9 +210,9 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestHealthzReadiness checks that /healthz reports per-replica state as
-// JSON and flips to 503 the moment no replica is routable, so load
-// balancers stop sending traffic to a draining or dead process.
+// TestHealthzReadiness checks that /healthz reports the engine's health as
+// JSON and flips to 503 the moment the engine is closed, so load balancers
+// stop sending traffic to a draining or dead process.
 func TestHealthzReadiness(t *testing.T) {
 	getHealthz := func(stub *stubPredictor) *httptest.ResponseRecorder {
 		mux := newMux(stub, testConfig())
@@ -232,8 +229,8 @@ func TestHealthzReadiness(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("healthz body is not JSON: %v (body %q)", err, rec.Body)
 	}
-	if !h.Ready || len(h.Replicas) != 1 || h.Replicas[0].State != serve.StateReady {
-		t.Errorf("healthz body = %+v, want ready with one ready replica", h)
+	if !h.Ready || h.QueueLen != 3 {
+		t.Errorf("healthz body = %+v, want ready with queue_len 3", h)
 	}
 
 	rec = getHealthz(&stubPredictor{inf: stubInference(), unready: true})
@@ -243,8 +240,8 @@ func TestHealthzReadiness(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("unready healthz body is not JSON: %v (body %q)", err, rec.Body)
 	}
-	if h.Ready || len(h.Replicas) != 1 || h.Replicas[0].State != serve.StateClosed {
-		t.Errorf("unready healthz body = %+v, want not-ready with one closed replica", h)
+	if h.Ready {
+		t.Errorf("unready healthz body = %+v, want not-ready", h)
 	}
 }
 

@@ -170,15 +170,25 @@ func (m *Model) Params() []*nn.Param {
 // ParamCount returns the total learnable-parameter count.
 func (m *Model) ParamCount() int { return nn.CountParams(m.Params()) }
 
-// Save checkpoints the model weights to path. The write is atomic (temp
-// file + fsync + rename), so a crash mid-save never destroys a previous
-// checkpoint at the same path.
-func (m *Model) Save(path string) error { return nn.SaveFile(path, m.Params()) }
+// checkpointParams is what Save writes and Load restores: the trainable
+// weights plus the fitted normalisation as two untrained entries. The
+// normalisation entries alias m.Norm, so Load restores it in place, and a
+// checkpoint that predates them leaves m.Norm as it was.
+func (m *Model) checkpointParams() []*nn.Param {
+	return append(m.Params(),
+		nn.NewParam("norm.min", tensor.FromSlice(m.Norm.Min[:], grid.NumChannels)),
+		nn.NewParam("norm.max", tensor.FromSlice(m.Norm.Max[:], grid.NumChannels)))
+}
 
-// Load restores weights from path. Damaged files fail with a wrapped
-// ErrCheckpointCorrupt.
+// Save checkpoints the model weights and normalisation to path. The write
+// is atomic (temp file + fsync + rename), so a crash mid-save never
+// destroys a previous checkpoint at the same path.
+func (m *Model) Save(path string) error { return nn.SaveFile(path, m.checkpointParams()) }
+
+// Load restores weights, and the normalisation when the checkpoint carries
+// one, from path. Damaged files fail with a wrapped ErrCheckpointCorrupt.
 func (m *Model) Load(path string) error {
-	n, err := nn.LoadFile(path, m.Params())
+	n, err := nn.LoadFile(path, m.checkpointParams())
 	if err != nil {
 		return fmt.Errorf("core: load %s: %w", path, err)
 	}

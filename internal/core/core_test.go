@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"adarnet/internal/autodiff"
 	"adarnet/internal/geometry"
 	"adarnet/internal/grid"
+	"adarnet/internal/nn"
 	"adarnet/internal/patch"
 	"adarnet/internal/solver"
 	"adarnet/internal/tensor"
@@ -276,7 +278,7 @@ func TestTrainerRunEpochs(t *testing.T) {
 	opts := DefaultTrainOptions()
 	opts.Epochs = 2
 	opts.BatchSize = 2
-	stats, err := tr.Run(samples, opts)
+	stats, err := tr.Fit(context.Background(), samples, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestTrainerRunEpochs(t *testing.T) {
 
 func TestTrainerRejectsEmpty(t *testing.T) {
 	tr := NewTrainer(tinyModel())
-	if _, err := tr.Run(nil, DefaultTrainOptions()); err == nil {
+	if _, err := tr.Fit(context.Background(), nil, DefaultTrainOptions()); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 	if _, _, _, err := tr.Step(nil); err == nil {
@@ -357,6 +359,92 @@ func TestSaveLoadModel(t *testing.T) {
 	}
 	if err := m2.Load(path + ".missing"); err == nil {
 		t.Fatal("expected error for missing checkpoint")
+	}
+}
+
+// TestSaveLoadKeepsNorm: a fitted (non-identity) normalisation survives
+// Save → Load, so the loaded model infers bit-identically to the saved one.
+func TestSaveLoadKeepsNorm(t *testing.T) {
+	m1 := tinyModel()
+	samples := []Sample{tinySample(21, 8, 16), tinySample(22, 8, 16)}
+	NewTrainer(m1).FitNormalization(samples)
+	if m1.Norm == IdentityNorm() {
+		t.Fatal("fitted normalisation is the identity; the round trip would prove nothing")
+	}
+	path := t.TempDir() + "/model.gob"
+	if err := m1.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(4, 4)
+	cfg.Seed = 99
+	m2 := New(cfg)
+	if err := m2.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	if m2.Norm != m1.Norm {
+		t.Fatalf("normalisation not restored: got %+v, want %+v", m2.Norm, m1.Norm)
+	}
+	want, got := m1.Infer(samples[0].Meta), m2.Infer(samples[0].Meta)
+	if !got.Levels.Equal(want.Levels) || got.CompositeCells != want.CompositeCells {
+		t.Fatal("refinement map differs after Save → Load")
+	}
+	wd, gd := want.Field.Data(), got.Field.Data()
+	for i := range wd {
+		if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+			t.Fatalf("field[%d] = %v after Save → Load, want %v", i, gd[i], wd[i])
+		}
+	}
+}
+
+// TestLoadLegacyCheckpoint: checkpoints written before the normalisation
+// was persisted — v1 holding only the weights, and headerless v0 — still
+// load, restore every weight, and leave Norm as it was.
+func TestLoadLegacyCheckpoint(t *testing.T) {
+	m1 := tinyModel()
+	dir := t.TempDir()
+	v1 := dir + "/v1.gob"
+	if err := nn.SaveFile(v1, m1.Params()); err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		Name  string
+		Shape []int
+		Data  []float64
+	}
+	var entries []entry
+	for _, p := range m1.Params() {
+		entries = append(entries, entry{p.Name, p.Data.Shape(), p.Data.Data()})
+	}
+	v0 := dir + "/v0.gob"
+	f, err := os.Create(v0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{v1, v0} {
+		cfg := DefaultConfig(4, 4)
+		cfg.Seed = 99
+		m2 := New(cfg)
+		if err := m2.Load(path); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if m2.Norm != IdentityNorm() {
+			t.Errorf("%s: Norm = %+v, want the identity it had", path, m2.Norm)
+		}
+		want, got := m1.Params(), m2.Params()
+		for i := range want {
+			wd, gd := want[i].Data.Data(), got[i].Data.Data()
+			for j := range wd {
+				if wd[j] != gd[j] {
+					t.Fatalf("%s: %s[%d] not restored", path, want[i].Name, j)
+				}
+			}
+		}
 	}
 }
 

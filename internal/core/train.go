@@ -138,14 +138,6 @@ func (tr *Trainer) Step(batch []Sample) (total, data, pde float64, err error) {
 	return total, data, pde, nil
 }
 
-// Run trains for opts.Epochs over the samples and returns per-epoch stats.
-//
-// Deprecated: use Fit, which takes a context.Context and supports
-// cancellation between batches. Run is Fit with context.Background().
-func (tr *Trainer) Run(samples []Sample, opts TrainOptions) ([]EpochStats, error) {
-	return tr.Fit(context.Background(), samples, opts)
-}
-
 // Fit trains for opts.Epochs over the samples and returns per-epoch stats.
 // The loop polls ctx between batches; on cancellation it returns the stats
 // of completed epochs together with the wrapped context error.

@@ -52,15 +52,3 @@ func (e *Exemplars) Slowest() Exemplar {
 	}
 	return Exemplar{}
 }
-
-// MaxExemplar returns the larger-valued of a and b (zero trace = empty) —
-// the merge operation for aggregating exemplars across replicas.
-func MaxExemplar(a, b Exemplar) Exemplar {
-	if b.Trace.IsZero() {
-		return a
-	}
-	if a.Trace.IsZero() || b.Value > a.Value {
-		return b
-	}
-	return a
-}

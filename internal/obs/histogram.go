@@ -23,8 +23,7 @@ import (
 // Recording is wait-free: one bits.Len64, two atomic adds, no allocation.
 // Snapshots are taken bucket-by-bucket without stopping writers; a snapshot
 // is internally consistent enough for quantiles (Count is derived from the
-// bucket sums it actually read) and snapshots merge bucket-wise, so
-// per-worker or per-engine histograms aggregate exactly.
+// bucket sums it actually read).
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
 	sum     atomic.Uint64
@@ -87,8 +86,8 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()
 // ObserveSince records the nanoseconds elapsed since t0.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Nanoseconds()) }
 
-// Snapshot is a point-in-time copy of a Histogram, safe to read, merge, and
-// query while the source keeps recording.
+// Snapshot is a point-in-time copy of a Histogram, safe to read and query
+// while the source keeps recording.
 type Snapshot struct {
 	Buckets [NumBuckets]uint64
 	Count   uint64 // Σ Buckets at snapshot time
@@ -107,16 +106,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	}
 	s.Sum = h.sum.Load()
 	return s
-}
-
-// Merge adds o into s bucket-wise. Merging snapshots from different
-// histograms is exact because every Histogram shares the bucket scheme.
-func (s *Snapshot) Merge(o Snapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
 }
 
 // Mean returns the arithmetic mean of the recorded values (0 if empty).

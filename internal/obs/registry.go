@@ -47,7 +47,7 @@ func (k metricKind) String() string {
 
 // entry is one registered metric. Counters and gauges reduce to a value
 // function; histograms keep the *Histogram so exposition can snapshot it.
-// base/labels split a labeled name like `x_total{replica="0"}`: base carries
+// base/labels split a labeled name like `x_total{stage="infer"}`: base carries
 // the metric family, labels the brace-less label pairs ("" when unlabeled).
 type entry struct {
 	name   string
@@ -97,7 +97,7 @@ func validName(name string) bool {
 }
 
 // Labeled builds a labeled series name from a metric family and key/value
-// pairs: Labeled("x_total", "replica", "0") → `x_total{replica="0"}`. Every
+// pairs: Labeled("x_total", "stage", "infer") → `x_total{stage="infer"}`. Every
 // registration function accepts such names; series sharing a family render
 // under one HELP/TYPE header. Panics on an odd pair count — a programmer
 // error, like an invalid name.
@@ -259,7 +259,7 @@ func fmtFloat(v float64) string {
 
 // WriteTo renders every registered metric in Prometheus text format. Metric
 // families appear in first-registration order; labeled series of one family
-// (e.g. per-replica engine counters) are grouped under a single HELP/TYPE
+// (e.g. per-stage job histograms) are grouped under a single HELP/TYPE
 // header, in their own registration order, as the text format requires. It
 // implements io.WriterTo.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// TraceEntry is one completed request in the trace ring. TraceID, Replica,
-// and CacheHit cross-link the flat ring into the span tracer: grep the ring
+// TraceEntry is one completed request in the trace ring. TraceID and
+// CacheHit cross-link the flat ring into the span tracer: grep the ring
 // for a status, then pull the full timeline from /debug/traces/{trace_id}.
 type TraceEntry struct {
 	ID       string        `json:"id"`
@@ -17,36 +17,16 @@ type TraceEntry struct {
 	Status   int           `json:"status"`
 	Start    time.Time     `json:"start"`
 	Elapsed  time.Duration `json:"elapsed_ns"`
-	Replica  int           `json:"replica"` // routed replica, -1 when none
 	CacheHit bool          `json:"cache_hit"`
 	Err      string        `json:"err,omitempty"`
 }
 
 // RequestNote is a per-request scratchpad the serving layers fill in as a
-// request descends — which replica served it, whether the cache answered —
-// and the HTTP boundary reads back when stamping the trace ring. Fields are
-// atomic because hedged attempts race; a nil *RequestNote is a valid no-op
-// receiver.
+// request descends — today, whether the cache answered — and the HTTP
+// boundary reads back when stamping the trace ring. A nil *RequestNote is a
+// valid no-op receiver.
 type RequestNote struct {
-	replica  atomic.Int64 // stored +1 so the zero value means "none"
 	cacheHit atomic.Bool
-}
-
-// SetReplica records the replica that served the request (first writer wins
-// so a hedge loser can't overwrite the winner).
-func (n *RequestNote) SetReplica(i int) {
-	if n == nil {
-		return
-	}
-	n.replica.CompareAndSwap(0, int64(i)+1)
-}
-
-// Replica returns the recorded replica, or -1 when none.
-func (n *RequestNote) Replica() int {
-	if n == nil {
-		return -1
-	}
-	return int(n.replica.Load()) - 1
 }
 
 // SetCacheHit records that the prediction cache answered the request.

@@ -45,11 +45,7 @@ import (
 	"adarnet/internal/solver"
 )
 
-// config collects the engine and cluster knobs, set through functional
-// Options. One option vocabulary covers both serving shapes: the per-replica
-// options (WithWorkers, WithMaxBatch, WithCache, ...) configure each engine a
-// Cluster builds, while the cluster-level options (WithReplicas, WithHedge,
-// WithHealthInterval, ...) are read by NewCluster and ignored by New.
+// config collects the engine knobs, set through functional Options.
 type config struct {
 	maxBatch   int
 	maxDelay   time.Duration
@@ -62,40 +58,6 @@ type config struct {
 	negTTL     time.Duration
 	metrics    *obs.Registry
 	logger     *slog.Logger
-
-	// Cluster-level knobs (ignored by New; read by NewCluster).
-	replicas    int
-	hedge       time.Duration
-	healthEvery time.Duration
-	ejectPanics uint64
-	ejectP99    time.Duration
-
-	// Internal plumbing, set by the cluster when it builds replicas: slot-
-	// stable counters shared across replica generations (so labeled metrics
-	// and health deltas survive a replacement), and a pre-frozen float32
-	// model so a replacement replica never pays the freeze again.
-	sharedStats *counters
-	frozen      *core.Model32
-}
-
-// newConfig applies opts over the defaults shared by New and NewCluster.
-func newConfig(opts []Option) config {
-	cfg := config{
-		maxBatch:    8,
-		maxDelay:    2 * time.Millisecond,
-		workers:     2,
-		queueDepth:  64,
-		solverOpt:   solver.DefaultOptions(),
-		levelCap:    patch.MaxLevel,
-		negTTL:      10 * time.Second,
-		replicas:    1,
-		healthEvery: 250 * time.Millisecond,
-		ejectPanics: 3,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
 }
 
 // Precision selects the numeric path of the engine's forward passes.
@@ -233,61 +195,6 @@ func WithLogger(l *slog.Logger) Option {
 	return func(c *config) { c.logger = l }
 }
 
-// WithReplicas sets how many engine replicas a Cluster runs (default 1).
-// Cluster-level: New ignores it.
-func WithReplicas(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.replicas = n
-		}
-	}
-}
-
-// WithHedge enables hedged retries in a Cluster: a request still unanswered
-// after the larger of d and the observed p99 end-to-end latency launches a
-// second attempt on another replica; the first response wins and the loser is
-// cancelled (default disabled). Cluster-level: New ignores it.
-func WithHedge(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.hedge = d
-		}
-	}
-}
-
-// WithHealthInterval sets how often a Cluster evaluates per-replica health
-// from the obs snapshots (default 250ms). Cluster-level: New ignores it.
-func WithHealthInterval(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.healthEvery = d
-		}
-	}
-}
-
-// WithEjectPanics sets the contained-panic budget per health window: a
-// replica recovering at least this many panics between two health checks is
-// ejected, drained, and replaced (default 3; 0 disables panic-based
-// ejection). Cluster-level: New ignores it.
-func WithEjectPanics(n int) Option {
-	return func(c *config) {
-		if n >= 0 {
-			c.ejectPanics = uint64(n)
-		}
-	}
-}
-
-// WithEjectP99 sets an upper bound on a replica's p99 end-to-end latency: a
-// replica whose observed p99 exceeds it at a health check is ejected and
-// replaced (default 0 = disabled). Cluster-level: New ignores it.
-func WithEjectP99(d time.Duration) Option {
-	return func(c *config) {
-		if d >= 0 {
-			c.ejectP99 = d
-		}
-	}
-}
-
 // request is one in-flight prediction traveling through the pipeline.
 type request struct {
 	ctx      context.Context
@@ -340,11 +247,7 @@ type Engine struct {
 	wg     sync.WaitGroup
 	closed bool
 
-	// stats is a pointer so a Cluster can hand successive replica
-	// generations in one slot the same counters: labeled /metrics series
-	// stay monotonic and health-check deltas stay meaningful across a
-	// replacement. A standalone engine owns a private set.
-	stats *counters
+	stats counters
 
 	// logger, when non-nil, receives engine-internal events (contained
 	// panics) as structured records tagged with request IDs.
@@ -356,9 +259,8 @@ type Engine struct {
 
 	// inject holds an optional hook run inside the forward boundary for each
 	// request about to enter a batched pass — a fault-injection point that
-	// panics deterministically so containment and cluster ejection can be
-	// exercised. Atomic so tests and the cluster bench can arm it while
-	// traffic is in flight.
+	// panics deterministically so containment can be exercised. Atomic so
+	// tests can arm it while traffic is in flight.
 	inject atomic.Pointer[func(*grid.Flow)]
 }
 
@@ -372,43 +274,38 @@ func (e *Engine) setInject(fn func(*grid.Flow)) {
 	e.inject.Store(&fn)
 }
 
-// queueLen reports the submission-queue depth — the router's load signal.
-func (e *Engine) queueLen() int { return len(e.queue) }
-
 // New starts an engine for a trained model. The model is shared read-only
 // across workers (inference tapes never write to it). Returns
 // core.ErrUntrained for a nil or parameterless model.
 func New(m *core.Model, opts ...Option) (*Engine, error) {
-	return newEngine(m, newConfig(opts))
-}
-
-// newEngine builds and starts an engine from a resolved config — the shared
-// back half of New and the Cluster's replica factory.
-func newEngine(m *core.Model, cfg config) (*Engine, error) {
 	if m == nil || len(m.Params()) == 0 {
 		return nil, fmt.Errorf("serve: %w", core.ErrUntrained)
+	}
+	cfg := config{
+		maxBatch:   8,
+		maxDelay:   2 * time.Millisecond,
+		workers:    2,
+		queueDepth: 64,
+		solverOpt:  solver.DefaultOptions(),
+		levelCap:   patch.MaxLevel,
+		negTTL:     10 * time.Second,
+	}
+	for _, o := range opts {
+		o(&cfg)
 	}
 	e := &Engine{
 		model:   m,
 		cfg:     cfg,
 		logger:  cfg.logger,
-		stats:   cfg.sharedStats,
 		queue:   make(chan *request, cfg.queueDepth),
 		batches: make(chan []*request),
 	}
-	if e.stats == nil {
-		e.stats = &counters{}
-	}
 	if cfg.precision == Float32 {
-		if cfg.frozen != nil {
-			e.model32 = cfg.frozen
-		} else {
-			fm, err := core.NewModel32(m)
-			if err != nil {
-				return nil, fmt.Errorf("serve: freeze float32 model: %w", err)
-			}
-			e.model32 = fm
+		fm, err := core.NewModel32(m)
+		if err != nil {
+			return nil, fmt.Errorf("serve: freeze float32 model: %w", err)
 		}
+		e.model32 = fm
 	}
 	if cfg.cacheBytes > 0 {
 		e.cache = newFlowCache(cfg.cacheBytes, cfg.negTTL)
@@ -484,8 +381,7 @@ func (e *Engine) Predict(ctx context.Context, c *geometry.Case) (*core.Inference
 }
 
 // solveLR runs the physics solver that produces the model input, recording
-// an lr_solve span when the context carries a recording trace. Shared by
-// Engine.Predict and Cluster.Predict.
+// an lr_solve span when the context carries a recording trace.
 func solveLR(ctx context.Context, lr *grid.Flow, opt solver.Options) error {
 	sp := obs.SpanFromContext(ctx)
 	start := time.Now()

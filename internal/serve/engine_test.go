@@ -317,8 +317,8 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestEngineClosed checks Close semantics: idempotent, and subsequent
-// submissions fail with ErrEngineClosed.
+// TestEngineClosed checks Close semantics: idempotent, Health turns not
+// ready, and subsequent submissions fail with ErrEngineClosed.
 func TestEngineClosed(t *testing.T) {
 	flows := testFlows(1, 8, 16)
 	m := testModel(flows)
@@ -326,11 +326,17 @@ func TestEngineClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !e.Health().Ready {
+		t.Fatal("open engine reports not ready")
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+	if e.Health().Ready {
+		t.Fatal("closed engine reports ready")
 	}
 	if _, err := e.PredictFlow(context.Background(), flows[0]); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrEngineClosed", err)

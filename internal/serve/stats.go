@@ -133,86 +133,51 @@ func tailOf(s obs.Snapshot, ex obs.Exemplar) Tail {
 	}
 }
 
-// stageSnaps accumulates the stage-histogram snapshots an EngineStats
-// derives its timing fields from. Snapshots merge bucket-wise exactly, so a
-// cluster aggregate built from several replicas' counters is as faithful as
-// a single engine's. The exemplar fields keep the max-valued exemplar seen
-// across the merged sets.
-type stageSnaps struct {
-	queueWait, forward, assemble, e2e, occupancy, cacheHit obs.Snapshot
-
-	queueWaitEx, forwardEx, assembleEx, e2eEx, cacheHitEx obs.Exemplar
-}
-
-// addTo accumulates this counter set into s (scalars sum) and snaps (stage
-// histograms merge). Engine.Stats calls it once; Cluster.Stats calls it once
-// per replica slot to build the fleet aggregate.
-func (c *counters) addTo(s *EngineStats, snaps *stageSnaps) {
-	s.Requests += c.requests.Load()
-	s.Completed += c.completed.Load()
-	s.Canceled += c.canceled.Load()
-	s.Rejected += c.rejected.Load()
-	s.Coalesced += c.coalesced.Load()
-	s.Panics += c.panics.Load()
-	s.Retried += c.retried.Load()
-	snaps.queueWait.Merge(c.queueWait.Snapshot())
-	snaps.forward.Merge(c.forward.Snapshot())
-	snaps.assemble.Merge(c.assemble.Snapshot())
-	snaps.e2e.Merge(c.e2e.Snapshot())
-	snaps.occupancy.Merge(c.occupancy.Snapshot())
-	snaps.cacheHit.Merge(c.cacheHit.Snapshot())
-	snaps.queueWaitEx = obs.MaxExemplar(snaps.queueWaitEx, c.queueWaitEx.Slowest())
-	snaps.forwardEx = obs.MaxExemplar(snaps.forwardEx, c.forwardEx.Slowest())
-	snaps.assembleEx = obs.MaxExemplar(snaps.assembleEx, c.assembleEx.Slowest())
-	snaps.e2eEx = obs.MaxExemplar(snaps.e2eEx, c.e2eEx.Slowest())
-	snaps.cacheHitEx = obs.MaxExemplar(snaps.cacheHitEx, c.cacheHitEx.Slowest())
-}
-
-// addCacheTo accumulates a prediction cache's counters into s; nil-safe so
-// cacheless engines contribute zeros.
-func addCacheTo(s *EngineStats, c *flowCache) {
-	if c == nil {
-		return
-	}
-	s.CacheHits += c.hits.Load()
-	s.CacheMisses += c.misses.Load()
-	s.CacheNegativeHits += c.negHits.Load()
-	s.CacheEvicted += c.evicted.Load()
-	s.CacheBytes += c.bytes.Load()
-	s.CacheEntries += c.entries.Load()
-}
-
-// finishStats derives the timing fields — means, tails, batch count — from
-// the accumulated stage snapshots.
-func finishStats(s *EngineStats, snaps *stageSnaps) {
-	s.Batches = snaps.occupancy.Count
-	s.MeanBatchOccupancy = snaps.occupancy.Mean()
-	s.MeanQueueWait = time.Duration(snaps.queueWait.Mean())
-	s.MeanForward = time.Duration(snaps.forward.Mean())
-	s.MeanAssemble = time.Duration(snaps.assemble.Mean())
-	s.MeanE2E = time.Duration(snaps.e2e.Mean())
-	s.MeanCacheHit = time.Duration(snaps.cacheHit.Mean())
-	s.QueueWaitTail = tailOf(snaps.queueWait, snaps.queueWaitEx)
-	s.ForwardTail = tailOf(snaps.forward, snaps.forwardEx)
-	s.AssembleTail = tailOf(snaps.assemble, snaps.assembleEx)
-	s.E2ETail = tailOf(snaps.e2e, snaps.e2eEx)
-	s.CacheHitTail = tailOf(snaps.cacheHit, snaps.cacheHitEx)
-}
-
 // Stats snapshots the engine counters. Safe to call concurrently with
 // serving; the fields are read individually, not as one atomic unit.
 // All timing fields — means and tails — derive from the stage histogram
 // snapshots, the same data /metrics exports.
 func (e *Engine) Stats() EngineStats {
+	c := &e.stats
 	s := EngineStats{
 		Precision:   e.Precision().String(),
 		GemmKernel:  tensor.Gemm32KernelName(),
 		CPUFeatures: cpu.Summary(),
+
+		Requests:  c.requests.Load(),
+		Completed: c.completed.Load(),
+		Canceled:  c.canceled.Load(),
+		Rejected:  c.rejected.Load(),
+		Coalesced: c.coalesced.Load(),
+		Panics:    c.panics.Load(),
+		Retried:   c.retried.Load(),
 	}
-	var snaps stageSnaps
-	e.stats.addTo(&s, &snaps)
-	addCacheTo(&s, e.cache)
-	finishStats(&s, &snaps)
+	queueWait := c.queueWait.Snapshot()
+	forward := c.forward.Snapshot()
+	assemble := c.assemble.Snapshot()
+	e2e := c.e2e.Snapshot()
+	occupancy := c.occupancy.Snapshot()
+	cacheHit := c.cacheHit.Snapshot()
+	if fc := e.cache; fc != nil {
+		s.CacheHits = fc.hits.Load()
+		s.CacheMisses = fc.misses.Load()
+		s.CacheNegativeHits = fc.negHits.Load()
+		s.CacheEvicted = fc.evicted.Load()
+		s.CacheBytes = fc.bytes.Load()
+		s.CacheEntries = fc.entries.Load()
+	}
+	s.Batches = occupancy.Count
+	s.MeanBatchOccupancy = occupancy.Mean()
+	s.MeanQueueWait = time.Duration(queueWait.Mean())
+	s.MeanForward = time.Duration(forward.Mean())
+	s.MeanAssemble = time.Duration(assemble.Mean())
+	s.MeanE2E = time.Duration(e2e.Mean())
+	s.MeanCacheHit = time.Duration(cacheHit.Mean())
+	s.QueueWaitTail = tailOf(queueWait, c.queueWaitEx.Slowest())
+	s.ForwardTail = tailOf(forward, c.forwardEx.Slowest())
+	s.AssembleTail = tailOf(assemble, c.assembleEx.Slowest())
+	s.E2ETail = tailOf(e2e, c.e2eEx.Slowest())
+	s.CacheHitTail = tailOf(cacheHit, c.cacheHitEx.Slowest())
 	return s
 }
 
@@ -231,37 +196,27 @@ func (s EngineStats) String() string {
 // WithMetrics option; exported for callers that construct the registry
 // after the engine.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
-	registerServeMetrics(reg, nil, e.stats, func() *Engine { return e })
-}
-
-// registerServeMetrics attaches one counter set's series under the
-// adarnet_serve_* names, optionally labeled (a Cluster registers each slot
-// with replica="i"). The counters outlive replica generations, but the cache
-// and precision belong to the live engine, so those series read through the
-// engine accessor — for a cluster slot that is whichever generation is
-// serving at scrape time.
-func registerServeMetrics(reg *obs.Registry, labels []string, c *counters, engine func() *Engine) {
 	if reg == nil {
 		return
 	}
-	name := func(base string) string { return obs.Labeled(base, labels...) }
-	reg.CounterFunc(name("adarnet_serve_requests_total"), "Submissions accepted into the queue.",
+	c := &e.stats
+	reg.CounterFunc("adarnet_serve_requests_total", "Submissions accepted into the queue.",
 		func() float64 { return float64(c.requests.Load()) })
-	reg.CounterFunc(name("adarnet_serve_completed_total"), "Predictions delivered.",
+	reg.CounterFunc("adarnet_serve_completed_total", "Predictions delivered.",
 		func() float64 { return float64(c.completed.Load()) })
-	reg.CounterFunc(name("adarnet_serve_canceled_total"), "Requests dropped by context cancellation.",
+	reg.CounterFunc("adarnet_serve_canceled_total", "Requests dropped by context cancellation.",
 		func() float64 { return float64(c.canceled.Load()) })
-	reg.CounterFunc(name("adarnet_serve_rejected_total"), "Submissions shed with ErrQueueFull.",
+	reg.CounterFunc("adarnet_serve_rejected_total", "Submissions shed with ErrQueueFull.",
 		func() float64 { return float64(c.rejected.Load()) })
-	reg.CounterFunc(name("adarnet_serve_coalesced_total"), "Requests served from another request's forward pass.",
+	reg.CounterFunc("adarnet_serve_coalesced_total", "Requests served from another request's forward pass.",
 		func() float64 { return float64(c.coalesced.Load()) })
-	reg.CounterFunc(name("adarnet_serve_panics_total"), "Panics recovered at worker boundaries.",
+	reg.CounterFunc("adarnet_serve_panics_total", "Panics recovered at worker boundaries.",
 		func() float64 { return float64(c.panics.Load()) })
-	reg.CounterFunc(name("adarnet_serve_retried_total"), "Individual re-runs after a batch-level panic.",
+	reg.CounterFunc("adarnet_serve_retried_total", "Individual re-runs after a batch-level panic.",
 		func() float64 { return float64(c.retried.Load()) })
-	reg.GaugeFunc(name("adarnet_serve_precision_float32"), "1 when the engine serves the float32 fast path, 0 for the float64 default.",
+	reg.GaugeFunc("adarnet_serve_precision_float32", "1 when the engine serves the float32 fast path, 0 for the float64 default.",
 		func() float64 {
-			if e := engine(); e != nil && e.Precision() == Float32 {
+			if e.Precision() == Float32 {
 				return 1
 			}
 			return 0
@@ -271,36 +226,35 @@ func registerServeMetrics(reg *obs.Registry, labels []string, c *counters, engin
 	// EngineStats reads the same atomics, so the views always agree.
 	cacheVal := func(read func(*flowCache) float64) func() float64 {
 		return func() float64 {
-			e := engine()
-			if e == nil || e.cache == nil {
+			if e.cache == nil {
 				return 0
 			}
 			return read(e.cache)
 		}
 	}
-	reg.CounterFunc(name("adarnet_serve_cache_hits_total"), "Predictions served from the content-addressed cache.",
+	reg.CounterFunc("adarnet_serve_cache_hits_total", "Predictions served from the content-addressed cache.",
 		cacheVal(func(fc *flowCache) float64 { return float64(fc.hits.Load()) }))
-	reg.CounterFunc(name("adarnet_serve_cache_misses_total"), "Cache lookups that fell through to the batched pipeline.",
+	reg.CounterFunc("adarnet_serve_cache_misses_total", "Cache lookups that fell through to the batched pipeline.",
 		cacheVal(func(fc *flowCache) float64 { return float64(fc.misses.Load()) }))
-	reg.CounterFunc(name("adarnet_serve_cache_negative_hits_total"), "Cached ErrDiverged answers served without re-solving.",
+	reg.CounterFunc("adarnet_serve_cache_negative_hits_total", "Cached ErrDiverged answers served without re-solving.",
 		cacheVal(func(fc *flowCache) float64 { return float64(fc.negHits.Load()) }))
-	reg.CounterFunc(name("adarnet_serve_cache_evicted_total"), "Cache entries evicted at the byte budget.",
+	reg.CounterFunc("adarnet_serve_cache_evicted_total", "Cache entries evicted at the byte budget.",
 		cacheVal(func(fc *flowCache) float64 { return float64(fc.evicted.Load()) }))
-	reg.GaugeFunc(name("adarnet_serve_cache_bytes"), "Resident prediction-cache bytes.",
+	reg.GaugeFunc("adarnet_serve_cache_bytes", "Resident prediction-cache bytes.",
 		cacheVal(func(fc *flowCache) float64 { return float64(fc.bytes.Load()) }))
-	reg.GaugeFunc(name("adarnet_serve_cache_entries"), "Resident prediction-cache entries.",
+	reg.GaugeFunc("adarnet_serve_cache_entries", "Resident prediction-cache entries.",
 		cacheVal(func(fc *flowCache) float64 { return float64(fc.entries.Load()) }))
-	reg.GaugeFunc(name("adarnet_serve_cache_enabled"), "1 when the engine was built with WithCache, 0 otherwise.",
+	reg.GaugeFunc("adarnet_serve_cache_enabled", "1 when the engine was built with WithCache, 0 otherwise.",
 		func() float64 {
-			if e := engine(); e != nil && e.cache != nil {
+			if e.cache != nil {
 				return 1
 			}
 			return 0
 		})
-	reg.AttachHistogram(name("adarnet_serve_queue_wait_seconds"), "Submit to batch-pickup wait per request.", 1e-9, &c.queueWait)
-	reg.AttachHistogram(name("adarnet_serve_forward_seconds"), "Batched forward-pass time per batch group.", 1e-9, &c.forward)
-	reg.AttachHistogram(name("adarnet_serve_assemble_seconds"), "Assembly/demux time per batch group.", 1e-9, &c.assemble)
-	reg.AttachHistogram(name("adarnet_serve_e2e_seconds"), "Submit to reply latency per completed request.", 1e-9, &c.e2e)
-	reg.AttachHistogram(name("adarnet_serve_batch_occupancy"), "Requests per flushed batch.", 1, &c.occupancy)
-	reg.AttachHistogram(name("adarnet_serve_cache_hit_seconds"), "Lookup to copied-reply latency per cache hit.", 1e-9, &c.cacheHit)
+	reg.AttachHistogram("adarnet_serve_queue_wait_seconds", "Submit to batch-pickup wait per request.", 1e-9, &c.queueWait)
+	reg.AttachHistogram("adarnet_serve_forward_seconds", "Batched forward-pass time per batch group.", 1e-9, &c.forward)
+	reg.AttachHistogram("adarnet_serve_assemble_seconds", "Assembly/demux time per batch group.", 1e-9, &c.assemble)
+	reg.AttachHistogram("adarnet_serve_e2e_seconds", "Submit to reply latency per completed request.", 1e-9, &c.e2e)
+	reg.AttachHistogram("adarnet_serve_batch_occupancy", "Requests per flushed batch.", 1, &c.occupancy)
+	reg.AttachHistogram("adarnet_serve_cache_hit_seconds", "Lookup to copied-reply latency per cache hit.", 1e-9, &c.cacheHit)
 }

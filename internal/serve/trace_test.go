@@ -27,32 +27,30 @@ func spanByName(t *testing.T, rec obs.TraceRecord) map[string]obs.SpanView {
 // 1e6, so equality below is exact, not approximate.
 func msOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// TestClusterTraceTimeline is the ISSUE acceptance check: one request
-// through a 2-replica cluster on a cache miss yields a single retained
-// trace covering root → route → attempt → cache_probe/engine →
+// TestEngineTraceTimeline: one request through an engine on a cache miss
+// yields a single retained trace covering root → cache_probe/engine →
 // queue_wait/forward/assemble, with durations that agree exactly with the
-// stage histograms (same clock reads feed both) and the routed replica
-// stamped on the request note.
-func TestClusterTraceTimeline(t *testing.T) {
+// stage histograms (same clock reads feed both).
+func TestEngineTraceTimeline(t *testing.T) {
 	flows := testFlows(1, 8, 16)
 	m := testModel(flows)
-	c, err := NewCluster(m, WithReplicas(2), WithMaxBatch(1),
-		WithMaxDelay(time.Millisecond), WithWorkers(1), WithCache(1<<20))
+	e, err := New(m, WithMaxBatch(1), WithMaxDelay(time.Millisecond),
+		WithWorkers(1), WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer e.Close()
 
 	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
 	ctx, root := tracer.StartRequest(context.Background(), "POST /predict", "")
 	ctx, note := obs.WithRequestNote(ctx)
 
 	want := m.Infer(flows[0])
-	got, err := c.PredictFlow(ctx, flows[0])
+	got, err := e.PredictFlow(ctx, flows[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameInf(t, "traced cluster", want, got)
+	sameInf(t, "traced engine", want, got)
 	root.End()
 
 	recs := tracer.Trace(root.Trace().String())
@@ -61,26 +59,20 @@ func TestClusterTraceTimeline(t *testing.T) {
 	}
 	rec := recs[0]
 	spans := spanByName(t, rec)
-	for _, name := range []string{"POST /predict", "route", "attempt", "cache_probe", "engine", "queue_wait", "forward", "assemble"} {
+	for _, name := range []string{"POST /predict", "cache_probe", "engine", "queue_wait", "forward", "assemble"} {
 		if _, ok := spans[name]; !ok {
 			t.Fatalf("trace missing %q span; have %+v", name, rec.Spans)
 		}
 	}
 
-	// Parentage: the timeline nests middleware → router → engine stages.
+	// Parentage: the timeline nests middleware → engine stages.
 	rootSpan := spans["POST /predict"]
 	if rec.Spans[0].Name != rootSpan.Name || rootSpan.ParentID != "" {
 		t.Errorf("root span must lead the timeline with no parent: %+v", rec.Spans[0])
 	}
-	if spans["route"].ParentID != rootSpan.SpanID {
-		t.Errorf("route parent = %q, want root %q", spans["route"].ParentID, rootSpan.SpanID)
-	}
-	if spans["attempt"].ParentID != spans["route"].SpanID {
-		t.Errorf("attempt parent = %q, want route %q", spans["attempt"].ParentID, spans["route"].SpanID)
-	}
 	for _, name := range []string{"cache_probe", "engine"} {
-		if spans[name].ParentID != spans["attempt"].SpanID {
-			t.Errorf("%s parent = %q, want attempt %q", name, spans[name].ParentID, spans["attempt"].SpanID)
+		if spans[name].ParentID != rootSpan.SpanID {
+			t.Errorf("%s parent = %q, want root %q", name, spans[name].ParentID, rootSpan.SpanID)
 		}
 	}
 	for _, name := range []string{"queue_wait", "forward", "assemble"} {
@@ -89,21 +81,7 @@ func TestClusterTraceTimeline(t *testing.T) {
 		}
 	}
 
-	// Attributes: the route names its home, the attempt names the replica
-	// that answered, and the probe records the miss.
-	if got := spans["route"].Attrs["candidates"]; got != int64(2) {
-		t.Errorf("route candidates = %v, want 2", got)
-	}
-	replica := note.Replica()
-	if replica != 0 && replica != 1 {
-		t.Fatalf("request note replica = %d, want 0 or 1", replica)
-	}
-	if got := spans["attempt"].Attrs["replica"]; got != int64(replica) {
-		t.Errorf("attempt replica attr = %v, note says %d", got, replica)
-	}
-	if got := spans["route"].Attrs["home"]; got != spans["attempt"].Attrs["replica"] {
-		t.Errorf("healthy cluster routed off home: home=%v attempt=%v", got, spans["attempt"].Attrs["replica"])
-	}
+	// Attributes: the probe records the miss.
 	if got := spans["cache_probe"].Attrs["hit"]; got != false {
 		t.Errorf("cache_probe hit attr = %v, want false", got)
 	}
@@ -117,7 +95,7 @@ func TestClusterTraceTimeline(t *testing.T) {
 	// Timing: span durations and the stage histograms derive from the SAME
 	// clock reads, and with exactly one sample each histogram mean IS that
 	// sample — so the comparison is exact equality, no tolerance.
-	st := c.Stats()
+	st := e.Stats()
 	if st.Completed != 1 || st.CacheMisses != 1 || st.CacheHits != 0 {
 		t.Fatalf("stats = completed %d, misses %d, hits %d", st.Completed, st.CacheMisses, st.CacheHits)
 	}
@@ -209,16 +187,16 @@ func TestEngineCacheHitSpan(t *testing.T) {
 func TestTracingOffZeroSpans(t *testing.T) {
 	flows := testFlows(1, 8, 16)
 	m := testModel(flows)
-	c, err := NewCluster(m, WithReplicas(2), WithMaxDelay(time.Millisecond), WithCache(1<<20))
+	e, err := New(m, WithMaxDelay(time.Millisecond), WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer e.Close()
 
-	if _, err := c.PredictFlow(context.Background(), flows[0]); err != nil {
+	if _, err := e.PredictFlow(context.Background(), flows[0]); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
+	st := e.Stats()
 	if st.Completed != 1 {
 		t.Fatalf("completed = %d", st.Completed)
 	}
